@@ -7,6 +7,23 @@ expressed in *pair* (numerator, denominator) form so conditional queries
 (Eq. 22) and ordinary expectation/threshold queries flow through one code
 path — see :mod:`repro.queries.base`.
 
+Plan, then sweep
+----------------
+Once the recursion has fixed a leaf's conditioning and budget, the leaves
+are independent, so an estimate runs in two phases.  The *plan* phase walks
+the recursion exactly as the paper's algorithms do — same selection and
+allocation draws, same audit and telemetry hooks — and at each leaf draws
+that leaf's mask blocks from its stream at the position the recursion has
+reached, registering them with the estimate's :class:`LeafBatch` instead of
+traversing them.  The recursion returns a :data:`Plan`: a
+:class:`PlanNode` tree (``head``, then ``+= w_i * term_i`` in order) whose
+leaves are :class:`Leaf` handles.  The *sweep* phase lays all leaves'
+worlds side by side and runs one :meth:`Query.evaluate_pairs` over them
+(flushing early when the pending worlds reach the sampling chunk budget);
+:func:`fold` then reduces the tree in the recursion's own float order.
+Each leaf sums its ``(leaf, source block)`` segments block by block, so
+every estimate is bit-identical to evaluating the leaves one by one.
+
 Parallel execution
 ------------------
 :meth:`Estimator.estimate` accepts ``n_workers``: with the default
@@ -27,15 +44,17 @@ with the engine through three small hooks:
 The invariant tying them together: expanding a node and evaluating the
 resulting children must produce the same estimate as evaluating the node as
 one subtree, because every node draws from a stream keyed by its stratum
-path (:class:`repro.rng.StratumRng`) rather than by execution order.
+path (:class:`repro.rng.StratumRng`) rather than by execution order.  The
+driver reduces its expansion tree with the same :func:`fold`.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from abc import ABC, abstractmethod
-from typing import Any, List, NamedTuple, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,10 +62,12 @@ from repro import audit as _audit
 from repro import metrics as _metrics
 from repro import telemetry as _telemetry
 from repro.errors import EstimatorError
+from repro.graph import world as _world
 from repro.graph import worldsource as _worldsource
 from repro.graph.statuses import EdgeStatuses
 from repro.graph.uncertain import UncertainGraph
 from repro.queries.base import Query
+from repro.queries.batch import as_mask_block
 from repro.core.result import EstimateResult, WorldCounter
 from repro.rng import RngLike, StratumRng, resolve_rng, spawn_rngs
 
@@ -71,6 +92,218 @@ def pair_of(query: Query, value: float) -> Pair:
     return float(value), 1.0
 
 
+# --------------------------------------------------------------------------- #
+# plans: what a recursion returns before its leaves are swept
+# --------------------------------------------------------------------------- #
+
+
+class PlanNode:
+    """One recursion node awaiting its leaves.
+
+    Folds as ``head``, then ``+= w * term`` for every ``(w, term)`` in
+    :attr:`terms` order — the children in stratum order, then any residual
+    pool — which is the sequential recursion's accumulation order exactly.
+    ``head`` holds what was accumulated before the child loop (RCSS's and
+    BCSS's analytic ``pi_0 u_0`` term).
+    """
+
+    __slots__ = ("head", "terms")
+
+    def __init__(self, head: Pair = (0.0, 0.0)) -> None:
+        self.head = head
+        self.terms: List[Tuple[float, Any]] = []
+
+    def add(self, weight: float, term: "Plan") -> None:
+        self.terms.append((weight, term))
+
+
+class Leaf:
+    """A sampling leaf registered with a :class:`LeafBatch`.
+
+    Accumulates the partial sums of its ``(leaf, source block)`` segments as
+    the batch sweeps them; :meth:`pair` is the leaf's mean once the batch has
+    finished.  ``path`` is the telemetry span path, captured at plan time.
+    """
+
+    __slots__ = (
+        "n_samples", "num", "den", "where", "audit_path",
+        "path", "kind", "pi", "seconds",
+    )
+
+    def __init__(self, n_samples: int, rng: RngLike, where: str) -> None:
+        self.n_samples = int(n_samples)
+        self.num = 0.0
+        self.den = 0.0
+        self.where = where
+        self.audit_path = getattr(rng, "path", None)
+        self.path: Tuple[int, ...] = ()
+        self.kind = "leaf"
+        self.pi: Optional[float] = None
+        self.seconds = 0.0
+
+    def pair(self) -> Pair:
+        return self.num / self.n_samples, self.den / self.n_samples
+
+
+#: A recursion result: a ready pair, a leaf handle, a node of further plans,
+#: or anything else with a ``pair()`` method (the parallel driver's jobs).
+Plan = Union[Pair, PlanNode, Leaf]
+
+
+def fold(plan: Any) -> Pair:
+    """Reduce a plan to its ``(num, den)`` pair in the recursion's float order."""
+    if isinstance(plan, tuple):
+        return plan
+    if not isinstance(plan, PlanNode):
+        return plan.pair()
+    num, den = plan.head
+    for weight, term in plan.terms:
+        sub_num, sub_den = fold(term)
+        num += weight * sub_num
+        den += weight * sub_den
+    return num, den
+
+
+class _BatchSlot(threading.local):
+    # Per thread, like the audit/trace/world-source slots: pool worker
+    # threads and the serving dispatch thread each plan their own
+    # estimates, and an estimate never spans threads.
+    batch: Optional["LeafBatch"] = None
+
+
+_BATCH = _BatchSlot()
+
+
+class LeafBatch:
+    """Deferred evaluation of every sampling leaf of one estimate.
+
+    Used as a context manager: while open it is the current thread's batch,
+    and :func:`sample_mean_pair` / :func:`residual_mixture_pair` register
+    their worlds here and return :class:`Leaf` handles.  Pending worlds are
+    stacked and evaluated in one :meth:`Query.evaluate_pairs` call whenever
+    they reach the sampling chunk budget (``chunk_budget // m`` worlds,
+    so the stacked boolean block stays as small as one sampling chunk) and
+    once more on exit, after which every leaf's pair is final: its audit
+    check and telemetry leaf record run then, in registration order.
+    Blocks are swept in the order they were pushed, so each leaf adds up
+    its segments in its own block order.
+    """
+
+    def __init__(self, graph: UncertainGraph, query: Query) -> None:
+        self.graph = graph
+        self.query = query
+        self.limit = max(1, _world._DEFAULT_CHUNK_BUDGET // max(graph.n_edges, 1))
+        self.trc = _telemetry.active()
+        self.leaves: List[Leaf] = []
+        self._pending: List[Tuple[Leaf, Any]] = []
+        self._rows = 0
+        self._outer: Optional[LeafBatch] = None
+
+    def __enter__(self) -> "LeafBatch":
+        self._outer = _BATCH.batch
+        _BATCH.batch = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _BATCH.batch = self._outer
+        if exc_type is None:
+            self.finish()
+
+    def leaf(
+        self, n_samples: int, rng: RngLike, where: str, *,
+        index: Optional[int] = None, kind: str = "leaf", pi: Optional[float] = None,
+    ) -> Leaf:
+        """Register a new leaf; its span path is the current node's (+ ``index``)."""
+        leaf = Leaf(n_samples, rng, where)
+        if self.trc is not None:
+            path = self.trc.current_path(rng)
+            leaf.path = path if index is None else path + (int(index),)
+            leaf.kind = kind
+            leaf.pi = pi
+        self.leaves.append(leaf)
+        return leaf
+
+    def push(self, leaf: Leaf, block: Any) -> None:
+        """Queue one source block of ``leaf``; sweep once the budget is reached.
+
+        A cache replay carrying its kernel layout (``edge_words``, only ever
+        memoised for blocks of 64 worlds or more) already fills whole words;
+        it is swept on its own, after what is pending, so the layout is used
+        instead of being unpacked into a stack and packed again.
+        """
+        alone = getattr(block, "edge_words", None) is not None
+        if alone:
+            self.flush()
+        self._pending.append((leaf, block))
+        self._rows += int(block.shape[0])
+        if alone or self._rows >= self.limit:
+            self.flush()
+
+    def flush(self) -> None:
+        """Evaluate every pending block in one sweep and credit the segments."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        rows = self._rows
+        self._rows = 0
+        if len(pending) == 1:
+            # Pass a lone block through untouched: cache replays keep their
+            # attached kernel layout and skip the repack.
+            masks = pending[0][1]
+        else:
+            masks = np.concatenate(
+                [as_mask_block(self.graph, block) for _, block in pending]
+            )
+        trc = self.trc
+        started = time.perf_counter() if trc is not None else 0.0
+        nums, dens = self.query.evaluate_pairs(self.graph, masks)
+        share = (time.perf_counter() - started) / rows if trc is not None else 0.0
+        start = 0
+        for leaf, block in pending:
+            stop = start + int(block.shape[0])
+            seg_nums = nums[start:stop]
+            seg_dens = dens[start:stop]
+            leaf.num += float(seg_nums.sum())
+            leaf.den += float(seg_dens.sum())
+            if trc is not None:
+                trc.leaf_block(leaf.path, seg_nums, seg_dens)
+                seconds = share * (stop - start)
+                leaf.seconds += seconds
+                trc.leaf_swept(leaf.path, seconds)
+            start = stop
+
+    def finish(self) -> None:
+        """Sweep what is pending, then audit and record every leaf."""
+        self.flush()
+        ctx = _audit.active()
+        trc = self.trc
+        for leaf in self.leaves:
+            if ctx is not None:
+                mean_num, mean_den = leaf.pair()
+                ctx.check_pair(mean_num, mean_den, where=leaf.where, path=leaf.audit_path)
+            if trc is not None:
+                trc.leaf_done(
+                    leaf.path, leaf.n_samples, leaf.n_samples, leaf.seconds,
+                    kind=leaf.kind, pi=leaf.pi,
+                )
+
+
+def _deferred(graph: UncertainGraph, query: Query, register) -> Plan:
+    """Register a leaf with this thread's open batch, or sweep it right away.
+
+    ``register(batch)`` draws the leaf's worlds and returns its handle.  A
+    leaf for another graph or query than the open batch sweeps is never
+    mixed into it.
+    """
+    batch = _BATCH.batch
+    if batch is not None and batch.graph is graph and batch.query is query:
+        return register(batch)
+    with LeafBatch(graph, query) as own:
+        leaf = register(own)
+    return leaf.pair()
+
+
 def sample_mean_pair(
     graph: UncertainGraph,
     query: Query,
@@ -78,82 +311,49 @@ def sample_mean_pair(
     n_samples: int,
     rng: RngLike,
     counter: Optional[WorldCounter] = None,
-) -> Pair:
+) -> Plan:
     """Plain Monte-Carlo mean of the query pair under a partial assignment.
 
     This is the terminal step of every recursion (Algorithm 2 lines 3–7,
     Algorithm 4 lines 5–9) and the whole of NMC.  Worlds come from the
     active :class:`~repro.graph.worldsource.WorldSource` — fresh draws via
     :func:`repro.graph.world.iter_mask_blocks` by default, cache replay
-    under a serving engine — and are evaluated in whole blocks
-    (:meth:`Query.evaluate_pairs`), so traversal-backed queries run all
-    worlds of a block in one batched BFS sweep.  The block stream is
-    bit-identical either way, so same-seed estimates match the historical
-    per-world loop exactly.
+    under a serving engine — and are drawn *now*, at the stream position
+    the recursion has reached.  Inside an estimate (an open
+    :class:`LeafBatch`) the traversal is deferred to the batch's sweep and
+    a :class:`Leaf` handle is returned; called on its own, the leaf is
+    swept immediately and its ``(mean_num, mean_den)`` pair returned.
+    Either way each source block's worlds are summed as one segment, so
+    same-seed estimates match the historical per-world loop exactly.
     """
     if n_samples <= 0:
         raise EstimatorError("sample_mean_pair needs a positive sample count")
-    trc = _telemetry.active()
-    if trc is not None:
-        return _sample_mean_pair_traced(
-            graph, query, statuses, n_samples, rng, counter, trc
-        )
-    num = 0.0
-    den = 0.0
-    for block in _worldsource.active().blocks(statuses, n_samples, rng):
-        nums, dens = query.evaluate_pairs(graph, block)
-        num += float(nums.sum())
-        den += float(dens.sum())
-    if counter is not None:
-        counter.add(n_samples)
-    mean_num = num / n_samples
-    mean_den = den / n_samples
-    ctx = _audit.active()
-    if ctx is not None:
-        ctx.check_pair(
-            mean_num, mean_den, where="sample_mean_pair",
-            path=getattr(rng, "path", None),
-        )
-    return mean_num, mean_den
+    return _deferred(
+        graph, query,
+        lambda batch: _sample_leaf(batch, statuses, n_samples, rng, counter),
+    )
 
 
-def _sample_mean_pair_traced(
-    graph: UncertainGraph,
-    query: Query,
+def _sample_leaf(
+    batch: LeafBatch,
     statuses: EdgeStatuses,
     n_samples: int,
     rng: RngLike,
     counter: Optional[WorldCounter],
-    trc,
-) -> Pair:
-    """Traced twin of :func:`sample_mean_pair`.
-
-    Identical world sampling, block evaluation and float accumulation order
-    — same-seed estimates stay bit-identical with tracing on — plus the
-    span's variance-ledger moments, per-block convergence events and the
-    leaf wall-clock.
-    """
-    path = trc.current_path(rng)
-    started = time.perf_counter()
-    num = 0.0
-    den = 0.0
+) -> Leaf:
+    leaf = batch.leaf(n_samples, rng, "sample_mean_pair")
+    trc = batch.trc
+    mark = time.perf_counter() if trc is not None else 0.0
     for block in _worldsource.active().blocks(statuses, n_samples, rng):
-        nums, dens = query.evaluate_pairs(graph, block)
-        num += float(nums.sum())
-        den += float(dens.sum())
-        trc.leaf_block(path, nums, dens)
-    trc.leaf_done(path, n_samples, n_samples, time.perf_counter() - started)
+        if trc is not None:
+            # Charge drawing the block, not the sweeps a push may trigger.
+            leaf.seconds += time.perf_counter() - mark
+        batch.push(leaf, block)
+        if trc is not None:
+            mark = time.perf_counter()
     if counter is not None:
         counter.add(n_samples)
-    mean_num = num / n_samples
-    mean_den = den / n_samples
-    ctx = _audit.active()
-    if ctx is not None:
-        ctx.check_pair(
-            mean_num, mean_den, where="sample_mean_pair",
-            path=getattr(rng, "path", None),
-        )
-    return mean_num, mean_den
+    return leaf
 
 
 def residual_mixture_pair(
@@ -165,7 +365,7 @@ def residual_mixture_pair(
     n_draws: int,
     rng: RngLike,
     counter: Optional[WorldCounter] = None,
-) -> Pair:
+) -> Plan:
     """Mean query pair over draws from a mixture of strata.
 
     Used by the budget-true allocation plan
@@ -180,12 +380,32 @@ def residual_mixture_pair(
     a single :func:`~repro.graph.world.sample_edge_masks` call; every group
     gets its own ``SeedSequence`` child stream (in ascending stratum order),
     so the randomness is keyed to the *plan* — which strata were drawn how
-    often — rather than to the order of a per-draw loop.
+    often — rather than to the order of a per-draw loop.  Like
+    :func:`sample_mean_pair`, the draws happen now and the pooled block is
+    one deferred leaf of the open :class:`LeafBatch` (swept immediately when
+    none is open).
     """
     if n_draws <= 0 or indices.size == 0:
         raise EstimatorError("residual mixture needs draws and strata")
-    trc = _telemetry.active()
-    started = time.perf_counter() if trc is not None else 0.0
+    return _deferred(
+        graph, query,
+        lambda batch: _residual_leaf(
+            batch, graph, child_for, weights, indices, n_draws, rng, counter
+        ),
+    )
+
+
+def _residual_leaf(
+    batch: LeafBatch,
+    graph: UncertainGraph,
+    child_for,
+    weights: np.ndarray,
+    indices: np.ndarray,
+    n_draws: int,
+    rng: RngLike,
+    counter: Optional[WorldCounter],
+) -> Leaf:
+    started = time.perf_counter() if batch.trc is not None else 0.0
     gen = resolve_rng(rng)
     local = weights[indices].astype(np.float64)
     total = float(local.sum())
@@ -200,25 +420,18 @@ def residual_mixture_pair(
     for index, stream in zip(groups, spawn_rngs(gen, groups.size)):
         rows = np.flatnonzero(draws == index)
         masks[rows] = source.masks(child_for(int(index)), rows.size, stream)
-    nums, dens = query.evaluate_pairs(graph, masks)
-    if trc is not None:
-        # The pooled strata hang off the node as one residual pseudo-child
-        # at path + (RESIDUAL_INDEX,) with the pool's combined local weight.
-        trc.record_leaf_arrays(
-            rng, nums, dens, n_draws, time.perf_counter() - started,
-            index=_telemetry.RESIDUAL_INDEX, pi=total, kind="residual",
-        )
+    # The pooled strata hang off the node as one residual pseudo-child at
+    # path + (RESIDUAL_INDEX,) with the pool's combined local weight.
+    leaf = batch.leaf(
+        n_draws, rng, "residual_mixture_pair",
+        index=_telemetry.RESIDUAL_INDEX, kind="residual", pi=total,
+    )
+    if batch.trc is not None:
+        leaf.seconds = time.perf_counter() - started
+    batch.push(leaf, masks)
     if counter is not None:
         counter.add(n_draws)
-    mean_num = float(nums.sum()) / n_draws
-    mean_den = float(dens.sum()) / n_draws
-    ctx = _audit.active()
-    if ctx is not None:
-        ctx.check_pair(
-            mean_num, mean_den, where="residual_mixture_pair",
-            path=getattr(rng, "path", None),
-        )
-    return mean_num, mean_den
+    return leaf
 
 
 class ChildJob(NamedTuple):
@@ -260,8 +473,9 @@ class ChildJob(NamedTuple):
 class NodeExpansion(NamedTuple):
     """Result of expanding one recursion node for parallel execution.
 
-    The driver reduces an expanded node as ``head``, then ``+= pi_i *
-    child_i`` in children-list order, then ``+= tail`` — the *exact* float
+    The driver turns an expanded node into a :class:`PlanNode` and
+    :func:`fold` reduces it as ``head``, then ``+= pi_i * child_i`` in
+    children-list order, then ``+= tail`` — the *exact* float
     accumulation order of the sequential recursion, so a node evaluated
     as one subtree and the same node expanded one level deeper produce
     bit-identical pairs.  ``head`` holds contributions accumulated before
@@ -296,8 +510,27 @@ class Estimator(ABC):
         n_samples: int,
         rng: np.random.Generator,
         counter: WorldCounter,
+    ) -> Plan:
+        """Plan the estimate of ``(E[num], E[den])`` conditioned on ``statuses``.
+
+        Runs under the estimate's open :class:`LeafBatch`, so sampling
+        leaves come back as deferred :class:`Leaf` handles; returns a pair,
+        a leaf, or a :class:`PlanNode` combining them (see :func:`fold`).
+        """
+
+    def _evaluate(
+        self,
+        graph: UncertainGraph,
+        query: Query,
+        statuses: EdgeStatuses,
+        n_samples: int,
+        rng: np.random.Generator,
+        counter: WorldCounter,
     ) -> Pair:
-        """Estimate ``(E[num], E[den])`` conditioned on ``statuses``."""
+        """Plan the recursion, sweep all its leaves in one batch, fold."""
+        with LeafBatch(graph, query):
+            plan = self._estimate_pair(graph, query, statuses, n_samples, rng, counter)
+        return fold(plan)
 
     # ------------------------------------------------------------------ #
     # parallel-execution hooks (see repro.parallel)
@@ -363,12 +596,12 @@ class Estimator(ABC):
         n_samples: int,
         rng,
         counter: WorldCounter,
-    ) -> Pair:
-        """Evaluate one subtree job (inside a worker or inline).
+    ) -> Plan:
+        """Plan one subtree job (inside a worker or inline).
 
         Applies :meth:`_parallel_chunks` recursively under path-keyed RNG —
         matching :meth:`_expand_node`'s default — then falls through to
-        :meth:`_estimate_pair`.
+        :meth:`_estimate_pair`.  The caller holds the :class:`LeafBatch`.
         """
         if isinstance(rng, StratumRng):
             chunks = self._parallel_chunks(n_samples)
@@ -380,18 +613,15 @@ class Estimator(ABC):
                     None, rng, pis=[n_i / n_samples for n_i in chunks],
                     allocations=chunks, n_samples=n_samples,
                 )
-                num = 0.0
-                den = 0.0
+                node = PlanNode()
                 for i, n_i in enumerate(chunks):
                     share = n_i / n_samples
                     _telemetry.enter_child(None, trc, i, share)
-                    sub_num, sub_den = self._run_subtree(
+                    node.add(share, self._run_subtree(
                         graph, query, statuses, state, int(n_i), rng.child(i), counter
-                    )
+                    ))
                     _telemetry.exit_child(None, trc)
-                    num += share * sub_num
-                    den += share * sub_den
-                return num, den
+                return node
         return self._estimate_pair(graph, query, statuses, n_samples, rng, counter)
 
     # ------------------------------------------------------------------ #
@@ -582,7 +812,7 @@ class Estimator(ABC):
         gen = resolve_rng(rng)
         counter = WorldCounter()
         if not audit_enabled and tctx is None and source is None:
-            num, den = self._estimate_pair(
+            num, den = self._evaluate(
                 graph, query, EdgeStatuses(graph), int(n_samples), gen, counter
             )
             return EstimateResult.from_pair(
@@ -592,7 +822,7 @@ class Estimator(ABC):
         ctx = _audit.AuditContext(self.name) if audit_enabled else None
         with _audit.activate(ctx), _telemetry.activate(tctx), \
                 _worldsource.activate(source):
-            num, den = self._estimate_pair(
+            num, den = self._evaluate(
                 graph, query, EdgeStatuses(graph), int(n_samples), gen, counter
             )
             if ctx is not None:
@@ -651,6 +881,11 @@ def chunk_budget(
 __all__ = [
     "Estimator",
     "Pair",
+    "Plan",
+    "PlanNode",
+    "Leaf",
+    "LeafBatch",
+    "fold",
     "ChildJob",
     "NodeExpansion",
     "MIN_PARALLEL_CHUNK",

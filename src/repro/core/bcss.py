@@ -22,7 +22,8 @@ from repro.core.base import (
     ChildJob,
     Estimator,
     NodeExpansion,
-    Pair,
+    Plan,
+    PlanNode,
     pair_of,
     sample_mean_pair,
 )
@@ -57,7 +58,7 @@ class BCSS(Estimator):
         n_samples: int,
         rng: np.random.Generator,
         counter: WorldCounter,
-    ) -> Pair:
+    ) -> Plan:
         cut_query = require_cut_set(query)
         state = cut_query.cut_initial_state(graph)
         cut = cut_query.cut_set(graph, statuses, state)
@@ -67,8 +68,7 @@ class BCSS(Estimator):
         child0 = statuses.child(cut, np.full(cut.size, ABSENT, dtype=np.int8))
         u0 = cut_query.cut_constant(graph, child0, state)
         num, den = pair_of(query, u0)
-        num *= pi0
-        den *= pi0
+        node = PlanNode((num * pi0, den * pi0))
         allocations = estimator_allocation(self.allocation, pcds, n_samples, rng)
         _audit.check_split(
             self.name, rng, pis=pis, pi0=pi0, allocations=allocations,
@@ -84,13 +84,11 @@ class BCSS(Estimator):
             k = i + 1
             child = statuses.child(cut[:k], cutset_stratum_statuses(k))
             _telemetry.enter_child(counter, trc, i, pi)
-            mean_num, mean_den = sample_mean_pair(
+            node.add(pi, sample_mean_pair(
                 graph, query, child, int(n_i), child_rng(rng, i), counter
-            )
+            ))
             _telemetry.exit_child(counter, trc)
-            num += pi * mean_num
-            den += pi * mean_den
-        return num, den
+        return node
 
     def _expand_node(
         self,

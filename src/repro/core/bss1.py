@@ -19,7 +19,14 @@ from repro.core.allocation import (
     estimator_allocation,
     validate_estimator_allocation,
 )
-from repro.core.base import ChildJob, Estimator, NodeExpansion, Pair, sample_mean_pair
+from repro.core.base import (
+    ChildJob,
+    Estimator,
+    NodeExpansion,
+    Plan,
+    PlanNode,
+    sample_mean_pair,
+)
 from repro.core.result import WorldCounter
 from repro.core.selection import EdgeSelection, RandomSelection
 from repro.core.stratify import class1_strata
@@ -83,7 +90,7 @@ class BSS1(Estimator):
         n_samples: int,
         rng: np.random.Generator,
         counter: WorldCounter,
-    ) -> Pair:
+    ) -> Plan:
         r = min(self.r, statuses.n_free)
         if r == 0:
             return sample_mean_pair(graph, query, statuses, n_samples, rng, counter)
@@ -99,20 +106,17 @@ class BSS1(Estimator):
         trc = _telemetry.split(
             counter, rng, pis=pis, allocations=allocations, n_samples=n_samples
         )
-        num = 0.0
-        den = 0.0
+        node = PlanNode()
         for index, (row, pi, n_i) in enumerate(zip(stratum_statuses, pis, allocations)):
             if pi <= 0.0 or n_i <= 0:
                 continue
             child = statuses.child(edges, row)
             _telemetry.enter_child(counter, trc, index, pi)
-            mean_num, mean_den = sample_mean_pair(
+            node.add(pi, sample_mean_pair(
                 graph, query, child, int(n_i), child_rng(rng, index), counter
-            )
+            ))
             _telemetry.exit_child(counter, trc)
-            num += pi * mean_num
-            den += pi * mean_den
-        return num, den
+        return node
 
     def _expand_node(
         self,

@@ -17,7 +17,14 @@ import numpy as np
 from repro import audit as _audit
 from repro import telemetry as _telemetry
 from repro.core.allocation import estimator_allocation, validate_estimator_allocation
-from repro.core.base import ChildJob, Estimator, NodeExpansion, Pair, sample_mean_pair
+from repro.core.base import (
+    ChildJob,
+    Estimator,
+    NodeExpansion,
+    Plan,
+    PlanNode,
+    sample_mean_pair,
+)
 from repro.core.result import WorldCounter
 from repro.core.selection import EdgeSelection, RandomSelection
 from repro.core.stratify import class2_strata, class2_stratum_statuses
@@ -62,7 +69,7 @@ class BSS2(Estimator):
         n_samples: int,
         rng: np.random.Generator,
         counter: WorldCounter,
-    ) -> Pair:
+    ) -> Plan:
         r = min(self.r, statuses.n_free)
         if r == 0:
             return sample_mean_pair(graph, query, statuses, n_samples, rng, counter)
@@ -78,21 +85,18 @@ class BSS2(Estimator):
         trc = _telemetry.split(
             counter, rng, pis=pis, allocations=allocations, n_samples=n_samples
         )
-        num = 0.0
-        den = 0.0
+        node = PlanNode()
         for stratum, (pins, pi, n_i) in enumerate(zip(pin_counts, pis, allocations)):
             if pi <= 0.0 or n_i <= 0:
                 continue
             pinned = class2_stratum_statuses(stratum, r)
             child = statuses.child(edges[: pins], pinned)
             _telemetry.enter_child(counter, trc, stratum, pi)
-            mean_num, mean_den = sample_mean_pair(
+            node.add(pi, sample_mean_pair(
                 graph, query, child, int(n_i), child_rng(rng, stratum), counter
-            )
+            ))
             _telemetry.exit_child(counter, trc)
-            num += pi * mean_num
-            den += pi * mean_den
-        return num, den
+        return node
 
     def _expand_node(
         self,

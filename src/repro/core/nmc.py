@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import audit as _audit
-from repro.core.base import Estimator, Pair, chunk_budget, sample_mean_pair
+from repro.core.base import Estimator, Plan, chunk_budget, sample_mean_pair
 from repro.core.result import WorldCounter
 from repro.graph.statuses import EdgeStatuses
 from repro.graph.uncertain import UncertainGraph
@@ -38,7 +38,7 @@ class NMC(Estimator):
         n_samples: int,
         rng: np.random.Generator,
         counter: WorldCounter,
-    ) -> Pair:
+    ) -> Plan:
         before = counter.worlds
         pair = sample_mean_pair(graph, query, statuses, n_samples, rng, counter)
         ctx = _audit.active()

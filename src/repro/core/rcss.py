@@ -28,7 +28,8 @@ from repro.core.base import (
     ChildJob,
     Estimator,
     NodeExpansion,
-    Pair,
+    Plan,
+    PlanNode,
     pair_of,
     residual_mixture_pair,
     sample_mean_pair,
@@ -87,7 +88,7 @@ class RCSS(Estimator):
         n_samples: int,
         rng: np.random.Generator,
         counter: WorldCounter,
-    ) -> Pair:
+    ) -> Plan:
         cut_query = require_cut_set(query)
         state = cut_query.cut_initial_state(graph)
         return self._recurse(graph, cut_query, statuses, state, n_samples, rng, counter)
@@ -104,7 +105,7 @@ class RCSS(Estimator):
         n_samples: int,
         rng,
         counter: WorldCounter,
-    ) -> Pair:
+    ) -> Plan:
         # Resume mid-recursion with the answer-set state the decomposition
         # recorded, instead of rebuilding the root state.
         return self._recurse(
@@ -120,7 +121,7 @@ class RCSS(Estimator):
         n_samples: int,
         rng: np.random.Generator,
         counter: WorldCounter,
-    ) -> Pair:
+    ) -> Plan:
         cut = query.cut_set(graph, statuses, state)
         if cut.size == 0 and query.exact_when_cut_empty:
             # An empty cut-set pins the value (Definition 5.1 with C = {}):
@@ -141,8 +142,7 @@ class RCSS(Estimator):
         child0 = statuses.child(cut, np.full(cut.size, ABSENT, dtype=np.int8))
         u0 = query.cut_constant(graph, child0, state)
         num, den = pair_of(query, u0)
-        num *= pi0
-        den *= pi0
+        node = PlanNode((num * pi0, den * pi0))
 
         def child_for(index: int) -> EdgeStatuses:
             k = index + 1
@@ -168,22 +168,17 @@ class RCSS(Estimator):
                 continue
             child_state = query.cut_advance(graph, state, int(cut[i]))
             _telemetry.enter_child(counter, trc, i, pi)
-            sub_num, sub_den = self._recurse(
+            node.add(pi, self._recurse(
                 graph, query, child_for(i), child_state, int(n_i),
                 child_rng(rng, i), counter,
-            )
+            ))
             _telemetry.exit_child(counter, trc)
-            num += pi * sub_num
-            den += pi * sub_den
         if plan is not None and plan.residual_n:
-            res_num, res_den = residual_mixture_pair(
+            node.add(float(pis[plan.residual].sum()), residual_mixture_pair(
                 graph, query, child_for, pis, plan.residual, plan.residual_n,
                 rng, counter,
-            )
-            weight = float(pis[plan.residual].sum())
-            num += weight * res_num
-            den += weight * res_den
-        return num, den
+            ))
+        return node
 
     def _expand_node(
         self,

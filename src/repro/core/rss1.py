@@ -27,7 +27,8 @@ from repro.core.base import (
     ChildJob,
     Estimator,
     NodeExpansion,
-    Pair,
+    Plan,
+    PlanNode,
     residual_mixture_pair,
     sample_mean_pair,
 )
@@ -141,33 +142,27 @@ class RSS1(Estimator):
         n_samples: int,
         rng: np.random.Generator,
         counter: WorldCounter,
-    ) -> Pair:
+    ) -> Plan:
         if self._should_stop(statuses, n_samples):
             return sample_mean_pair(graph, query, statuses, n_samples, rng, counter)
         pis, child_for, plan, allocations, trc = self._split(
             graph, query, statuses, n_samples, rng, counter
         )
-        num = 0.0
-        den = 0.0
+        node = PlanNode()
         for index, (pi, n_i) in enumerate(zip(pis, allocations)):
             if pi <= 0.0 or n_i <= 0:
                 continue
             _telemetry.enter_child(counter, trc, index, pi)
-            sub_num, sub_den = self._estimate_pair(
+            node.add(pi, self._estimate_pair(
                 graph, query, child_for(index), int(n_i), child_rng(rng, index), counter
-            )
+            ))
             _telemetry.exit_child(counter, trc)
-            num += pi * sub_num
-            den += pi * sub_den
         if plan is not None and plan.residual_n:
-            res_num, res_den = residual_mixture_pair(
+            node.add(float(pis[plan.residual].sum()), residual_mixture_pair(
                 graph, query, child_for, pis, plan.residual, plan.residual_n,
                 rng, counter,
-            )
-            weight = float(pis[plan.residual].sum())
-            num += weight * res_num
-            den += weight * res_den
-        return num, den
+            ))
+        return node
 
     def _expand_node(
         self,

@@ -45,7 +45,8 @@ class EdgeStatuses:
             values = np.asarray(values, dtype=np.int8)
             if values.shape != (graph.n_edges,):
                 raise StatusError("status vector must have one entry per edge")
-            if values.size and not np.all(np.isin(values, (FREE, ABSENT, PRESENT))):
+            # int8 range check: FREE, ABSENT, PRESENT are consecutive.
+            if values.size and not (values.min() >= FREE and values.max() <= PRESENT):
                 raise StatusError("statuses must be FREE (-1), ABSENT (0) or PRESENT (1)")
         self.values = values
 
@@ -117,7 +118,7 @@ class EdgeStatuses:
         if edges.size:
             if np.any(self.values[edges] != FREE):
                 raise StatusError("cannot re-pin an already-determined edge")
-            if not np.all(np.isin(statuses, (ABSENT, PRESENT))):
+            if not (statuses.min() >= ABSENT and statuses.max() <= PRESENT):
                 raise StatusError("pinned statuses must be ABSENT or PRESENT")
             self.values[edges] = statuses
         return self

@@ -79,7 +79,7 @@ def iter_mask_blocks(
     statuses: EdgeStatuses,
     n_worlds: int,
     rng: RngLike = None,
-    chunk_budget: int = _DEFAULT_CHUNK_BUDGET,
+    chunk_budget: Optional[int] = None,
 ) -> Iterator[np.ndarray]:
     """Yield ``(chunk, m)`` boolean mask blocks covering ``n_worlds`` worlds.
 
@@ -87,9 +87,12 @@ def iter_mask_blocks(
     block straight to :meth:`Query.evaluate_pairs
     <repro.queries.base.Query.evaluate_pairs>` so all worlds of a block are
     traversed in one BFS sweep.  Memory stays bounded by ``chunk_budget``
-    floats even for huge ``n_worlds`` on large graphs.  The random stream is
+    floats (default: the module's ``_DEFAULT_CHUNK_BUDGET``, read per call)
+    even for huge ``n_worlds`` on large graphs.  The random stream is
     identical to :func:`iter_edge_masks` for the same arguments.
     """
+    if chunk_budget is None:
+        chunk_budget = _DEFAULT_CHUNK_BUDGET
     gen = resolve_rng(rng)
     graph = statuses.graph
     free = statuses.free_edges()
@@ -118,7 +121,7 @@ def iter_edge_masks(
     statuses: EdgeStatuses,
     n_worlds: int,
     rng: RngLike = None,
-    chunk_budget: int = _DEFAULT_CHUNK_BUDGET,
+    chunk_budget: Optional[int] = None,
 ) -> Iterator[np.ndarray]:
     """Yield edge masks one world at a time, drawing randomness in chunks.
 

@@ -18,6 +18,9 @@ Two properties make the result bit-identical for every ``n_workers >= 1``:
 * the reduction replays the sequential accumulation order exactly —
   ``head``, then ``pi_i * child_i`` in stratum order, then ``tail`` — so
   expanding a node one level deeper changes no floating-point rounding.
+  The expansion tree is made of the recursion's own
+  :class:`~repro.core.base.PlanNode` objects and reduced by the same
+  :func:`~repro.core.base.fold`.
 
 The decomposition depth (``tasks_per_worker``) therefore affects load
 balance only, never the estimate.
@@ -39,7 +42,7 @@ from repro import audit as _audit
 from repro import kernels as _kernels
 from repro import metrics as _metrics
 from repro import telemetry as _telemetry
-from repro.core.base import Estimator, Pair
+from repro.core.base import Estimator, LeafBatch, Pair, PlanNode, fold
 from repro.graph import worldsource as _worldsource
 from repro.core.result import EstimateResult, WorldCounter
 from repro.errors import EstimatorError
@@ -49,8 +52,8 @@ from repro.parallel.arena import GraphArena
 from repro.parallel.worker import (
     Job,
     JobResult,
-    evaluate_job,
     init_worker,
+    plan_job,
     run_jobs,
     run_jobs_local,
 )
@@ -80,25 +83,25 @@ def resolve_backend(backend: str = "auto") -> str:
 
 
 class _Leaf:
-    """A scheduled job; ``node`` is set instead when the leaf got expanded."""
+    """A scheduled job; ``node`` is set instead when the leaf got expanded.
+
+    ``result`` is the job's pair — or, on the inline path, its unswept
+    plan — and :meth:`pair` folds whichever is set.
+    """
 
     __slots__ = ("job", "result", "node")
 
     def __init__(self, job: Job) -> None:
         self.job = job
-        self.result: Optional[Pair] = None
-        self.node: Optional["_Node"] = None
+        self.result: Any = None
+        self.node: Optional[PlanNode] = None
 
-
-class _Node:
-    """An expanded recursion node: head/tail pairs plus weighted children."""
-
-    __slots__ = ("head", "tail", "children")
-
-    def __init__(self, head: Pair, tail: Pair) -> None:
-        self.head = head
-        self.tail = tail
-        self.children: List[Tuple[float, _Leaf]] = []
+    def pair(self) -> Pair:
+        if self.node is not None:
+            return fold(self.node)
+        if self.result is None:
+            raise EstimatorError("parallel reduction saw an unevaluated job")
+        return fold(self.result)
 
 
 def _decompose(
@@ -142,7 +145,7 @@ def _decompose(
             ctx.check_children_order(
                 [child.index for child in expansion.children], path=job.path
             )
-        node = _Node(tuple(expansion.head), tuple(expansion.tail))
+        node = PlanNode(tuple(expansion.head))
         leaf.node = node
         for child in expansion.children:
             child_job = Job(
@@ -154,7 +157,7 @@ def _decompose(
                 job.weight * float(child.pi),
             )
             child_leaf = _Leaf(child_job)
-            node.children.append((float(child.pi), child_leaf))
+            node.add(float(child.pi), child_leaf)
             if child.kind == "subtree":
                 heapq.heappush(heap, (-child_job.n_samples, seq, child_leaf))
                 seq += 1
@@ -162,25 +165,10 @@ def _decompose(
                 # "mc" leaves are terminal by construction: re-expanding
                 # them would re-stratify what the parent already stratified.
                 settled.append(child_leaf)
+        # The tail is already weighted, and ``1.0 * x`` is exactly ``x``.
+        node.add(1.0, tuple(expansion.tail))
     settled.extend(entry[2] for entry in heap)
     return root_leaf, settled
-
-
-def _reduce(leaf: _Leaf) -> Pair:
-    """Fold the expansion tree back into one pair, sequential order exactly."""
-    if leaf.node is None:
-        if leaf.result is None:
-            raise EstimatorError("parallel reduction saw an unevaluated job")
-        return leaf.result
-    node = leaf.node
-    num, den = node.head
-    for pi, child in node.children:
-        sub_num, sub_den = _reduce(child)
-        num += pi * sub_num
-        den += pi * sub_den
-    num += node.tail[0]
-    den += node.tail[1]
-    return num, den
 
 
 def _coalesce(leaves: List[_Leaf], min_worlds_per_job: int) -> List[List[_Leaf]]:
@@ -445,16 +433,19 @@ def estimate_parallel(
         if n_workers == 1:
             started = time.perf_counter()
             offsets: List[float] = []
-            for leaf in leaves:
-                counter.rebase(len(leaf.job.path), leaf.job.weight)
-                t0 = time.perf_counter()
-                leaf.result = evaluate_job(
-                    graph, estimator, query, root, leaf.job, counter
-                )
-                if tctx is not None:
-                    elapsed = time.perf_counter() - t0
-                    tctx.record_job(leaf.job.path, elapsed, os.getpid())
-                    offsets.append(time.perf_counter() - started)
+            # Inline jobs share one leaf batch: every job is planned, then
+            # all their leaves are swept together (job times cover planning).
+            with LeafBatch(graph, query):
+                for leaf in leaves:
+                    counter.rebase(len(leaf.job.path), leaf.job.weight)
+                    t0 = time.perf_counter()
+                    leaf.result = plan_job(
+                        graph, estimator, query, root, leaf.job, counter
+                    )
+                    if tctx is not None:
+                        elapsed = time.perf_counter() - t0
+                        tctx.record_job(leaf.job.path, elapsed, os.getpid())
+                        offsets.append(time.perf_counter() - started)
             wall = time.perf_counter() - started
             if tctx is not None:
                 tctx.record_parallel(1, len(leaves), wall, offsets)
@@ -474,7 +465,7 @@ def estimate_parallel(
                 estimator, graph, query, root, groups, n_workers, counter,
                 len(leaves), source=source,
             )
-        num, den = _reduce(root_leaf)
+        num, den = root_leaf.pair()
         if ctx is not None:
             ctx.check_result(num, den, query.conditional, path=())
     result = EstimateResult.from_pair(

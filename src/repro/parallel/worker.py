@@ -26,7 +26,9 @@ the single-level BSS/BCSS stratifications, which must *not* be
 re-stratified).  The job's RNG is rebuilt from the root sequence and the
 stratum path, so the numbers drawn are identical to what any other process
 — or thread, or the sequential path-keyed recursion — would draw for that
-subtree.
+subtree.  :func:`evaluate_job` sweeps one job's leaves in its own
+:class:`~repro.core.base.LeafBatch`; the inline driver path calls
+:func:`plan_job` for all its jobs under one shared batch instead.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from repro import audit as _audit
 from repro import telemetry as _telemetry
-from repro.core.base import Estimator, Pair, sample_mean_pair
+from repro.core.base import Estimator, LeafBatch, Pair, Plan, fold, sample_mean_pair
 from repro.graph import worldsource as _worldsource
 from repro.core.result import WorldCounter
 from repro.graph.statuses import EdgeStatuses
@@ -65,6 +67,24 @@ class Job(NamedTuple):
     weight: float = 1.0
 
 
+def plan_job(
+    graph: UncertainGraph,
+    estimator: Estimator,
+    query: Query,
+    root: np.random.SeedSequence,
+    job: Job,
+    counter: WorldCounter,
+) -> Plan:
+    """Plan one job under its path-keyed stream; the caller holds the batch."""
+    rng = StratumRng(root, job.path)
+    statuses = EdgeStatuses(graph, job.values)
+    if job.kind == "mc":
+        return sample_mean_pair(graph, query, statuses, job.n_samples, rng, counter)
+    return estimator._run_subtree(  # noqa: SLF001 - engine-internal hook
+        graph, query, statuses, job.state, job.n_samples, rng, counter
+    )
+
+
 def evaluate_job(
     graph: UncertainGraph,
     estimator: Estimator,
@@ -73,14 +93,10 @@ def evaluate_job(
     job: Job,
     counter: WorldCounter,
 ) -> Pair:
-    """Evaluate one job under its path-keyed stream (both sides use this)."""
-    rng = StratumRng(root, job.path)
-    statuses = EdgeStatuses(graph, job.values)
-    if job.kind == "mc":
-        return sample_mean_pair(graph, query, statuses, job.n_samples, rng, counter)
-    return estimator._run_subtree(  # noqa: SLF001 - engine-internal hook
-        graph, query, statuses, job.state, job.n_samples, rng, counter
-    )
+    """Evaluate one job: plan it, sweep its leaves in one batch, fold."""
+    with LeafBatch(graph, query):
+        plan = plan_job(graph, estimator, query, root, job, counter)
+    return fold(plan)
 
 
 _STATE: Dict[str, Any] = {}
@@ -213,6 +229,7 @@ __all__ = [
     "JobResult",
     "evaluate_job",
     "init_worker",
+    "plan_job",
     "run_job",
     "run_jobs",
     "run_jobs_local",

@@ -57,7 +57,8 @@ from repro.errors import EstimatorError
 from repro.graph.bitsets import WORD_BITS, pack_masks, unpack_masks, with_edge_words
 from repro.graph.statuses import EdgeStatuses
 from repro.graph.uncertain import UncertainGraph
-from repro.graph.world import _DEFAULT_CHUNK_BUDGET, iter_mask_blocks
+from repro.graph import world as _world
+from repro.graph.world import iter_mask_blocks
 from repro.rng import StratumRng, resolve_rng
 
 #: Cache key: (graph fingerprint, seed, stratum path, conditioning digest).
@@ -79,7 +80,7 @@ def block_plan(n_worlds: int, n_edges: int, n_free: Optional[int] = None) -> Lis
     per-block float accumulation — as fresh sampling.
     """
     per_world = max(int(n_edges if n_free is None else n_free), 1)
-    chunk = max(1, min(n_worlds, _DEFAULT_CHUNK_BUDGET // per_world))
+    chunk = max(1, min(n_worlds, _world._DEFAULT_CHUNK_BUDGET // per_world))
     sizes = []
     produced = 0
     while produced < n_worlds:

@@ -328,6 +328,20 @@ class TraceContext:
             }
         )
 
+    def leaf_swept(self, path: Tuple[int, ...], seconds: float) -> None:
+        """Charge a leaf's share of a fused sweep to its enclosing spans.
+
+        Leaves are traversed together after the recursion has been planned
+        (:class:`repro.core.base.LeafBatch`), outside the enter/exit timing
+        of their spans; this adds the leaf's worlds-share of the sweep to
+        the inclusive ``seconds`` of every span on its path that this
+        context timed, so the profile still sums to the wall-clock.
+        """
+        for depth in range(len(self.base_path) + 1, len(path) + 1):
+            span = self.spans.get(tuple(path[:depth]))
+            if span is not None and span.seconds > 0.0:
+                span.seconds += seconds
+
     def leaf_done(
         self,
         path: Tuple[int, ...],

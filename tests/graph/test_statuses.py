@@ -73,6 +73,25 @@ def test_invalid_vector_shapes(fig1_graph):
         EdgeStatuses(fig1_graph, np.full(8, 7, dtype=np.int8))
 
 
+def test_every_out_of_range_int8_status_rejected(fig1_graph):
+    # The validation is a min/max range check; sweep the whole int8 range so
+    # it keeps exactly the verdict of a membership test.
+    for value in range(-128, 128):
+        vector = np.full(8, FREE, dtype=np.int8)
+        vector[5] = value
+        if value in (FREE, ABSENT, PRESENT):
+            assert EdgeStatuses(fig1_graph, vector).values[5] == value
+        else:
+            with pytest.raises(StatusError):
+                EdgeStatuses(fig1_graph, vector)
+        pinned = np.array([ABSENT, value], dtype=np.int8)
+        if value in (ABSENT, PRESENT):
+            assert EdgeStatuses(fig1_graph).pin([0, 1], pinned).values[1] == value
+        else:
+            with pytest.raises(StatusError):
+                EdgeStatuses(fig1_graph).pin([0, 1], pinned)
+
+
 def test_equality(fig1_graph):
     a = EdgeStatuses(fig1_graph).pin([2], [PRESENT])
     b = EdgeStatuses(fig1_graph).pin([2], [PRESENT])
