@@ -125,10 +125,14 @@ class EdgeStatuses:
 
     def child(self, edges: Sequence[int], statuses: Sequence[int]) -> "EdgeStatuses":
         """Return a copy with ``edges`` additionally pinned to ``statuses``."""
-        return EdgeStatuses(self.graph, self.values.copy()).pin(edges, statuses)
+        return self.copy().pin(edges, statuses)
 
     def copy(self) -> "EdgeStatuses":
-        return EdgeStatuses(self.graph, self.values.copy())
+        # A copy of a vector that already passed the range check needs none.
+        out = EdgeStatuses.__new__(EdgeStatuses)
+        out.graph = self.graph
+        out.values = self.values.copy()
+        return out
 
     def release(self, edges: Sequence[int]) -> "EdgeStatuses":
         """Un-pin ``edges`` back to FREE in place; returns self."""
